@@ -2,9 +2,12 @@
 
 Three things distinguish this backend from ``reference``:
 
-* the CSR / Blocked-Ellpack / CRISP matmuls are fully vectorized — a single
-  gather + ``einsum``/``bincount`` pass replaces the per-row (and per-nnz)
-  Python loops of :mod:`repro.sparsity.sparse_ops`;
+* the sparse matmuls replace the per-row (and per-nnz) Python loops of
+  :mod:`repro.sparsity.sparse_ops`.  CSR and CRISP decode the stored weight
+  once, memoize the dense operand on the format, and run one BLAS GEMM per
+  call: the compressed formats are storage and accelerator forms, not the
+  host CPU's execution form.  Blocked-Ellpack runs one block-row-batched
+  ``matmul`` plus a ``bincount`` scatter;
 * inference-time ``im2col`` writes into a shape-keyed workspace buffer that
   is reused across calls, so steady-state convolution stops paying a fresh
   column-matrix allocation per layer per batch;
@@ -93,12 +96,12 @@ class WorkspaceCache:
 # ---------------------------------------------------------------------------
 
 def _format_cache(fmt) -> dict:
-    """Per-format memo of derived index arrays.
+    """Per-format memo of derived operands and index arrays.
 
-    Format objects are immutable encodings, so gather/scatter indices that
-    depend only on the stored structure are computed once and reused across
-    matmul calls.  (Mutating a format's arrays in place invalidates the memo;
-    re-encode instead.)
+    Format objects are immutable encodings, so anything that depends only on
+    the stored structure (the decoded dense operand, tile views, scatter
+    indices) is computed once and reused across matmul calls.  (Mutating a
+    format's arrays in place invalidates the memo; re-encode instead.)
     """
     cache = getattr(fmt, "_fast_cache", None)
     if cache is None:
@@ -124,23 +127,25 @@ def _tile_scatter_index(fmt, block: int, batch: int) -> np.ndarray:
     return idx
 
 
-def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
-    """Vectorized CSR GEMM: one gather-scatter decode, then a BLAS GEMM.
+def _dense_operand(fmt) -> np.ndarray:
+    """The format decoded once into a contiguous transposed dense operand.
 
-    :meth:`CSRFormat.to_dense` (vectorized) scatters the stored values into a
-    dense operand in a single fancy-indexing pass; the matmul itself then
-    runs as one BLAS call instead of O(nnz) Python-level accumulations.  The
-    decoded (transposed) operand is memoized on the format, so a served
+    The vectorized ``to_dense`` scatters the stored values in one
+    fancy-indexing pass; the result is memoized on the format, so a served
     weight pays the decode once, not per request.
     """
-    check_activation_rows(fmt, activations)
-    activations = np.asarray(activations, dtype=np.float64)
     cache = _format_cache(fmt)
     dense_t = cache.get("dense_t")
     if dense_t is None:
         dense_t = np.ascontiguousarray(fmt.to_dense().T)
         cache["dense_t"] = dense_t
-    return dense_t @ activations
+    return dense_t
+
+
+def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
+    """CSR GEMM as one BLAS call on the memoized dense operand."""
+    check_activation_rows(fmt, activations)
+    return _dense_operand(fmt) @ np.asarray(activations, dtype=np.float64)
 
 
 def blocked_ellpack_matmul_fast(
@@ -186,41 +191,13 @@ def blocked_ellpack_matmul_fast(
 
 
 def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
-    """Vectorized CRISP GEMM: offset gather (the N:M MUX) + einsum reduction.
+    """CRISP GEMM as one BLAS call on the memoized dense operand.
 
-    The stored intra-group offsets index directly into the activation groups
-    — one fancy-indexing gather materialises the activation operand of every
-    retained weight, and an einsum folds the N and group axes.  Zero-valued
-    padding entries carry offset 0, so they gather a valid activation but
-    contribute nothing; the block-column scatter is the same cached-index
-    ``bincount`` as the Blocked-Ellpack kernel.
+    CRISP is a storage and accelerator format; on a host CPU a dense GEMM
+    over the decoded weight beats any gather over the stored offsets.
     """
-    rows, cols = fmt.shape
     check_activation_rows(fmt, activations)
-    activations = np.asarray(activations, dtype=np.float64)
-    block, m = fmt.block_size, fmt.m
-    batch = activations.shape[1]
-    block_rows, slots = fmt.block_cols.shape
-    groups = block // m
-    out_block_cols = -(-cols // block)
-
-    act_groups = _pad_rows(activations, block).reshape(block_rows, groups, m, batch)
-
-    br = np.arange(block_rows)[:, None, None, None, None]
-    g = np.arange(groups)[None, None, :, None, None]
-    # gathered[r, s, g, c, k, b] = act_groups[r, g, offsets[r, s, g, c, k], b]
-    gathered = act_groups[br, g, fmt.group_offsets]
-
-    # tile_contrib[r, s, c, b] = sum_{g, k} values[r, s, g, c, k] * gathered[...]
-    tile_contrib = np.einsum("rsgck,rsgckb->rscb", fmt.group_values, gathered)
-
-    flat_idx = _tile_scatter_index(fmt, block, batch)
-    out = np.bincount(
-        flat_idx,
-        weights=tile_contrib.ravel(),
-        minlength=out_block_cols * block * batch,
-    )
-    return out.reshape(out_block_cols * block, batch)[:cols]
+    return _dense_operand(fmt) @ np.asarray(activations, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway/2"
     protocol_version = "HTTP/1.1"  # keep-alive, so HttpTransport can reuse
+    # Headers and body go out as separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per reply).
+    disable_nagle_algorithm = True
 
     def _reply(self, response: ApiResponse) -> None:
         body = response.to_json().encode("utf-8")

@@ -42,6 +42,23 @@ def dumps(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _loads(data: str, what: str) -> Dict:
+    """Decode one envelope, rejecting what :func:`dumps` could never emit.
+
+    ``json.loads`` accepts the ``NaN`` / ``Infinity`` / ``-Infinity``
+    extensions; a value decoded from them could not be encoded back into a
+    response, so they fail here as a typed INVALID_ARGUMENT instead.
+    """
+
+    def reject(constant: str):
+        raise InvalidArgumentError(f"{what} contains the non-finite number {constant}")
+
+    try:
+        return json.loads(data, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{what} is not valid JSON: {exc}") from None
+
+
 @dataclass
 class ApiRequest:
     """One versioned call into the gateway.
@@ -110,11 +127,7 @@ class ApiRequest:
 
     @classmethod
     def from_json(cls, data: str) -> "ApiRequest":
-        try:
-            decoded = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(f"request is not valid JSON: {exc}") from None
-        return cls.from_dict(decoded)
+        return cls.from_dict(_loads(data, "request"))
 
 
 @dataclass
@@ -210,8 +223,4 @@ class ApiResponse:
 
     @classmethod
     def from_json(cls, data: str) -> "ApiResponse":
-        try:
-            decoded = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(f"response is not valid JSON: {exc}") from None
-        return cls.from_dict(decoded)
+        return cls.from_dict(_loads(data, "response"))

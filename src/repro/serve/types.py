@@ -189,6 +189,10 @@ class PredictRequest(_JsonMessage):
             raise ValueError(
                 f"inputs must be (N, C, H, W) images, got shape {self.inputs.shape}"
             )
+        if not np.isfinite(self.inputs).all():
+            # e.g. an overflowing JSON literal such as 1e999: the logits
+            # would be non-finite and could not be encoded in a response.
+            raise ValueError("inputs must be finite")
 
     @property
     def batch_size(self) -> int:

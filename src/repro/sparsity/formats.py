@@ -367,51 +367,47 @@ class CRISPFormat:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"Expected a 2-D matrix, got shape {matrix.shape}")
+        if not 0 < n <= m:
+            raise ValueError(f"Invalid N:M ratio {n}:{m}")
         if block_size % m != 0:
             raise ValueError(
                 f"block_size ({block_size}) must be a multiple of M ({m}) so groups do not straddle blocks"
             )
-        tiles, grid = partition_into_blocks(matrix, block_size)
-        nonzero = tiles.reshape(grid.block_rows, grid.block_cols, -1).any(axis=2)
-        blocks_per_row = nonzero.sum(axis=1).astype(np.int64)
-        slots = max(1, int(blocks_per_row.max()))
-        groups_per_block = block_size // m
-
-        block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
-        group_values = np.zeros((grid.block_rows, slots, groups_per_block, block_size, n))
-        group_offsets = np.zeros(
-            (grid.block_rows, slots, groups_per_block, block_size, n), dtype=np.int64
-        )
-        lossless = True
-
-        for br in range(grid.block_rows):
-            cols = np.nonzero(nonzero[br])[0]
-            for slot, bc in enumerate(cols):
-                block = tiles[br, bc]  # (B, B): rows x cols within block
-                block_cols[br, slot] = bc
-                for g in range(groups_per_block):
-                    group = block[g * m : (g + 1) * m, :]  # (m, B) rows-within-group x block cols
-                    for col in range(block_size):
-                        column = group[:, col]
-                        nz = np.nonzero(column)[0]
-                        if len(nz) > n:
-                            lossless = False
-                            order = np.argsort(np.abs(column[nz]))[::-1]
-                            nz = np.sort(nz[order[:n]])
-                        for k, offset in enumerate(nz):
-                            group_values[br, slot, g, col, k] = column[offset]
-                            group_offsets[br, slot, g, col, k] = offset
+        # The block level is exactly Blocked-Ellpack: same slots, same tiles.
+        blocked = BlockedEllpackFormat.from_dense(matrix, block_size)
+        block_rows, slots = blocked.block_cols.shape
+        stored_shape = (block_rows, slots, block_size // m, block_size, n)
+        # One row per (block-row, slot, group, block column): its m values.
+        groups = blocked.blocks.reshape(stored_shape[:3] + (m, block_size))
+        groups = groups.swapaxes(3, 4).reshape(-1, m)
+        keep = groups != 0
+        counts = keep.sum(axis=1)
+        lossy = counts > n
+        # A group with more than n non-zeros keeps its n largest magnitudes.
+        # The default-kind argsort, batched by non-zero count, breaks ties as
+        # a per-group argsort does; a stable sort would not on NumPy builds
+        # whose SIMD quicksort is unstable, and would change stored bytes.
+        for count in np.unique(counts[lossy]):
+            rows = np.nonzero(counts == count)[0]
+            offsets = np.nonzero(keep[rows])[1].reshape(-1, count)
+            order = np.argsort(np.abs(groups[rows[:, None], offsets]), axis=1)
+            dropped = np.take_along_axis(offsets, order[:, : count - n], axis=1)
+            keep[rows[:, None], dropped] = False
+        # Kept offsets first, in ascending order; unused storage slots hold 0.
+        offsets = np.argsort(~keep, axis=1, kind="stable")[:, :n]
+        used = np.take_along_axis(keep, offsets, axis=1)
+        values = np.where(used, np.take_along_axis(groups, offsets, axis=1), 0.0)
 
         return cls(
             shape=matrix.shape,
             n=n,
             m=m,
             block_size=block_size,
-            block_cols=block_cols,
-            blocks_per_row=blocks_per_row,
-            group_values=group_values,
-            group_offsets=group_offsets,
-            is_lossless=lossless,
+            block_cols=blocked.block_cols,
+            blocks_per_row=blocked.blocks_per_row,
+            group_values=values.reshape(stored_shape),
+            group_offsets=np.where(used, offsets, 0).reshape(stored_shape),
+            is_lossless=not lossy.any(),
             value_bits=value_bits,
         )
 

@@ -154,6 +154,32 @@ class TestSparseKernelParity:
             fast = crisp_matmul(fmt, acts, backend="fast")
         np.testing.assert_allclose(fast, ref, atol=1e-8)
 
+    @given(
+        nm=st.sampled_from([(1, 4), (2, 4), (2, 8)]),
+        block_size=st.sampled_from([8, 16, 32]),
+        rows=st.integers(1, 80),
+        cols=st.integers(1, 80),
+        batches=st.lists(st.sampled_from([1, 3, 5, 7, 13, 33]), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_crisp_fast_matches_reference(
+        self, nm, block_size, rows, cols, batches, seed
+    ):
+        """One format (so one memoized dense operand) serves batch 1 and odd
+        batch sizes within 1e-8 of the reference kernel, lossy encodings and
+        block-unaligned shapes included."""
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        fmt = CRISPFormat.from_dense(random_sparse(rng, rows, cols), n, m, block_size)
+        for batch in batches:
+            acts = rng.normal(size=(rows, batch))
+            np.testing.assert_allclose(
+                crisp_matmul(fmt, acts, backend="fast"),
+                crisp_matmul(fmt, acts, backend="reference"),
+                atol=1e-8,
+            )
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_activation_mismatch_raises_on_both_backends(self, rng, backend):
         fmt = CSRFormat.from_dense(random_sparse(rng, 8, 4))

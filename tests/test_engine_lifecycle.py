@@ -14,7 +14,7 @@ import pytest
 from repro.backend import Engine
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
-from repro.sparsity import nm_mask
+from repro.sparsity import HybridSparsityConfig, hybrid_mask, nm_mask
 
 
 @pytest.fixture
@@ -94,6 +94,35 @@ class TestRefreshFormats:
         fresh = Engine(model, backend="fast", weight_format="csr")
         np.testing.assert_allclose(fresh.predict(batch), refreshed, atol=1e-10)
         fresh.detach()
+
+    def test_crisp_operand_does_not_outlive_its_encoding(self, model, batch):
+        """The fast backend memoizes each CRISP layer's decoded dense operand.
+        A re-mask plus refresh_formats must still serve the new masks: the
+        result matches a freshly built reference engine."""
+
+        def hybrid_prune(n):
+            for layer in prunable_layers(model).values():
+                scores = np.abs(layer.reshaped_weight())
+                mask, _ = hybrid_mask(
+                    scores, HybridSparsityConfig(n, 4, 8), keep_blocks_per_row=1
+                )
+                layer.set_reshaped_mask(mask)
+
+        hybrid_prune(2)
+        engine = Engine(model, backend="fast", weight_format="crisp", n=2, m=4, block_size=8)
+        stale = engine.predict(batch)  # memoizes every layer's operand
+
+        hybrid_prune(1)
+        engine.refresh_formats()
+        refreshed = engine.predict(batch)
+        engine.detach()
+        assert not np.allclose(refreshed, stale)
+
+        with Engine(
+            model, backend="reference", weight_format="crisp", n=2, m=4, block_size=8
+        ) as fresh:
+            assert fresh.is_lossless
+            np.testing.assert_allclose(refreshed, fresh.predict(batch), atol=1e-8)
 
     def test_refresh_encodes_effective_weight(self, model, batch):
         """STE-style dense shadow weights must never leak into inference:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparsity.block import partition_into_blocks
 from repro.sparsity.formats import (
     BlockedEllpackFormat,
     CRISPFormat,
@@ -140,6 +141,11 @@ class TestCRISPFormat:
         with pytest.raises(ValueError):
             CRISPFormat.from_dense(rng.normal(size=(8, 8)), n=2, m=4, block_size=6)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_invalid_nm_ratio(self, rng, n):
+        with pytest.raises(ValueError, match="N:M"):
+            CRISPFormat.from_dense(rng.normal(size=(8, 8)), n=n, m=4, block_size=8)
+
     def test_metadata_cheaper_than_csr_and_ellpack(self, rng):
         matrix = make_hybrid_matrix(rng, rows=64, cols=64, block_size=16, keep=2)
         summaries = compare_formats(matrix, n=2, m=4, block_size=16)
@@ -156,6 +162,95 @@ class TestCRISPFormat:
         assert summary.data_bits == values * 8
         # 2-bit offsets per value + 1-bit-minimum block index per block.
         assert summary.metadata_bits == values * 2 + stored_blocks * 1
+
+
+def loop_crisp_encode(matrix, n, m, block_size):
+    """The original per-block / per-group / per-column CRISP encoder.
+
+    Kept as the oracle for the vectorized :meth:`CRISPFormat.from_dense`:
+    returns ``(block_cols, blocks_per_row, group_values, group_offsets,
+    is_lossless)``.
+    """
+    tiles, grid = partition_into_blocks(np.asarray(matrix, dtype=np.float64), block_size)
+    nonzero = tiles.reshape(grid.block_rows, grid.block_cols, -1).any(axis=2)
+    blocks_per_row = nonzero.sum(axis=1).astype(np.int64)
+    slots = max(1, int(blocks_per_row.max()))
+    groups_per_block = block_size // m
+    block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
+    stored_shape = (grid.block_rows, slots, groups_per_block, block_size, n)
+    group_values = np.zeros(stored_shape)
+    group_offsets = np.zeros(stored_shape, dtype=np.int64)
+    lossless = True
+    for br in range(grid.block_rows):
+        for slot, bc in enumerate(np.nonzero(nonzero[br])[0]):
+            block = tiles[br, bc]
+            block_cols[br, slot] = bc
+            for g in range(groups_per_block):
+                group = block[g * m : (g + 1) * m, :]
+                for col in range(block_size):
+                    column = group[:, col]
+                    nz = np.nonzero(column)[0]
+                    if len(nz) > n:
+                        lossless = False
+                        order = np.argsort(np.abs(column[nz]))[::-1]
+                        nz = np.sort(nz[order[:n]])
+                    for k, offset in enumerate(nz):
+                        group_values[br, slot, g, col, k] = column[offset]
+                        group_offsets[br, slot, g, col, k] = offset
+    return block_cols, blocks_per_row, group_values, group_offsets, lossless
+
+
+def assert_matches_loop_encoder(matrix, n, m, block_size):
+    fmt = CRISPFormat.from_dense(matrix, n=n, m=m, block_size=block_size)
+    *arrays, lossless = loop_crisp_encode(matrix, n, m, block_size)
+    names = ("block_cols", "blocks_per_row", "group_values", "group_offsets")
+    for name, want in zip(names, arrays):
+        got = getattr(fmt, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert fmt.is_lossless is lossless
+    return fmt
+
+
+#: Every (N, M) x block size the vectorized encoder is pinned on.
+ENCODER_CONFIGS = [(n, m, b) for n, m in ((1, 4), (2, 4), (2, 8)) for b in (8, 16, 32)]
+
+
+class TestCRISPEncoderMatchesLoop:
+    @pytest.mark.parametrize("n,m,block_size", ENCODER_CONFIGS)
+    def test_all_zero_matrix(self, n, m, block_size):
+        fmt = assert_matches_loop_encoder(np.zeros((block_size + 3, 5)), n, m, block_size)
+        assert fmt.is_lossless and not fmt.blocks_per_row.any()
+
+    @pytest.mark.parametrize("n,m,block_size", ENCODER_CONFIGS)
+    def test_lossy_groups_with_magnitude_ties(self, n, m, block_size):
+        # Every group holds m equal-magnitude non-zeros: all lossy, all ties.
+        matrix = np.where(np.arange(2 * block_size) % 2 == 0, 1.0, -1.0)[:, None]
+        matrix = np.repeat(matrix, block_size + 1, axis=1)
+        fmt = assert_matches_loop_encoder(matrix, n, m, block_size)
+        assert not fmt.is_lossless
+
+    @given(
+        config=st.sampled_from(ENCODER_CONFIGS),
+        rows=st.integers(1, 70),
+        cols=st.integers(1, 70),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_byte_identical(self, config, rows, cols, ties, seed):
+        n, m, block_size = config
+        rng = np.random.default_rng(seed)
+        if ties:
+            # Few distinct magnitudes and many zeros: magnitude ties across
+            # the keep/drop cut of lossy groups, plus empty blocks.
+            palette = np.array([0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -0.5])
+            matrix = rng.choice(palette, size=(rows, cols))
+        else:
+            density = rng.choice([0.1, 0.5, 1.0])
+            matrix = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        assert_matches_loop_encoder(matrix, n, m, block_size)
 
 
 class TestCompareFormats:

@@ -10,6 +10,11 @@ The headline invariants:
   latency/cache/queue/errors stats schema.
 """
 
+import hashlib
+import http.client
+import json
+import socket
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,7 @@ from repro.errors import (
 )
 from repro.gateway import (
     ApiRequest,
+    ApiResponse,
     ClusterBackend,
     Gateway,
     GatewayClient,
@@ -36,6 +42,7 @@ from repro.gateway import (
     as_serving_api,
     serve_http,
 )
+from repro.gateway.transport import _GatewayRequestHandler
 from repro.loadgen import (
     DriverConfig,
     LoadDriver,
@@ -183,6 +190,72 @@ class TestTransportParity:
         client = GatewayClient(server.transport(timeout_s=1.0))
         with pytest.raises(UnavailableError):
             client.health()
+
+
+def logits_digest(responses):
+    return hashlib.sha256(b"".join(r.logits.tobytes() for r in responses)).hexdigest()
+
+
+class TestWireEdge:
+    def test_nagle_disabled_and_keep_alive_bits_unchanged(self, fleet, cluster, batch):
+        """Headers and body leave as separate writes, so the accepted socket
+        must set TCP_NODELAY; the keep-alive replies keep the loopback bits."""
+        _, model_ids = fleet
+        gateway = Gateway(ClusterBackend(cluster))
+        loopback = GatewayClient(LoopbackTransport(gateway))
+        expected = [loopback.predict(m, batch) for m in model_ids]
+        nodelay = []
+
+        class NodelayProbe(_GatewayRequestHandler):
+            def handle(self):
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+                super().handle()
+
+        with serve_http(gateway) as server:
+            server.RequestHandlerClass = NodelayProbe
+            with GatewayClient(server.transport()) as client:
+                got = [client.predict(m, batch) for m in model_ids]
+        assert len(nodelay) == 1 and nodelay[0]  # one connection served all
+        assert logits_digest(got) == logits_digest(expected)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_gets_an_envelope(self, fleet, cluster, batch, token):
+        """Raw non-finite numbers are INVALID_ARGUMENT on both transports,
+        and the server keeps answering afterwards."""
+        _, model_ids = fleet
+        request = ApiRequest(
+            method="predict", payload=PredictRequest(model_ids[0], batch).to_dict()
+        )
+        predict = request.to_json()
+        # What a non-canonical client could send: one input value replaced by
+        # a JSON-extension constant or a literal that overflows a double.
+        envelope = request.to_dict()
+        envelope["payload"]["inputs"][0][0][0][0] = 12345.5
+        raw = json.dumps(envelope).replace("12345.5", token, 1)
+        gateway = Gateway(ClusterBackend(cluster))
+
+        answer = ApiResponse.from_json(gateway.handle_json(raw.encode("utf-8")))
+        assert not answer.ok and answer.error["code"] == "INVALID_ARGUMENT"
+        assert ApiResponse.from_json(gateway.handle_json(predict)).ok
+
+        with serve_http(gateway) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            headers = {"Content-Type": "application/json"}
+            try:
+                conn.request("POST", "/v2", body=raw.encode("utf-8"), headers=headers)
+                reply = conn.getresponse()
+                answer = ApiResponse.from_json(reply.read().decode("utf-8"))
+                assert reply.status == 400
+                assert not answer.ok and answer.error["code"] == "INVALID_ARGUMENT"
+                # The same keep-alive connection answers the next request.
+                conn.request("POST", "/v2", body=predict.encode("utf-8"), headers=headers)
+                follow_up = conn.getresponse()
+                assert follow_up.status == 200
+                assert ApiResponse.from_json(follow_up.read().decode("utf-8")).ok
+            finally:
+                conn.close()
 
 
 class TestMiddleware:

@@ -82,6 +82,15 @@ class TestRequestRoundTrip:
         with pytest.raises(InvalidArgumentError):
             ApiRequest.from_json(json.dumps(["an", "array"]))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_invalid_argument(self, constant):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            ApiRequest.from_json(
+                '{"method":"predict","payload":{"inputs":[%s]}}' % constant
+            )
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            ApiResponse.from_json('{"ok":true,"payload":{"x":%s}}' % constant)
+
     def test_negative_deadline_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ApiRequest("predict", deadline_ms=-1)

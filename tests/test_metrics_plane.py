@@ -10,6 +10,7 @@ seams, the SLO alert state machine, and the two delivery surfaces — the
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -505,16 +506,30 @@ class TestClusterEventSeams:
                 ClusterConfig(shards=1, high_water=1, max_pending=8),
                 registry=fleet,
             ) as cluster:
-                shard_id = cluster.shard_ids()[0]
-                # Stall dispatch so later submits observe a standing queue.
-                cluster.worker(shard_id).chaos_delay_s = 0.2
-                futures = [
-                    cluster.submit(PredictRequest(model_ids[0], fleet_inputs(rng)))
-                    for _ in range(4)
-                ]
+                worker = cluster.worker(cluster.shard_ids()[0])
+                # Hold the first request inside _dispatch, off the queue, so
+                # the later submits see a standing queue instead of joining
+                # its micro-batch while the collect window is still open.
+                dispatching, release = threading.Event(), threading.Event()
+                dispatch = worker._dispatch
+
+                def stalled_dispatch(items):
+                    dispatching.set()
+                    release.wait(30.0)
+                    dispatch(items)
+
+                worker._dispatch = stalled_dispatch
+                try:
+                    futures = [cluster.submit(PredictRequest(model_ids[0], fleet_inputs(rng)))]
+                    assert dispatching.wait(30.0)
+                    futures += [
+                        cluster.submit(PredictRequest(model_ids[0], fleet_inputs(rng)))
+                        for _ in range(3)
+                    ]
+                finally:
+                    release.set()
                 for future in futures:
                     future.result(30.0)
-                cluster.worker(shard_id).chaos_delay_s = 0.0
         events = log.events("admission_reject")
         assert events, "no admission_reject event under backlog"
         assert events[0].fields["reason"] == "high_water"
