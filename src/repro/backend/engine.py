@@ -188,11 +188,13 @@ class Engine:
             cols = self.backend.im2col(
                 x, kernel, kernel, layer.stride, layer.padding, training=False
             )
-            out = self.backend.sparse_matmul(self._formats[name], cols.T).T  # (N*oh*ow, S)
+            out = self.backend.sparse_matmul(self._formats[name], cols.T)  # (S, N*oh*ow)
             if layer.bias is not None:
-                out = out + layer.bias.data
+                out = out + layer.bias.data[:, None]
             layer._cache = {"x_shape": x.shape}
-            return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
+            # An NCHW view of channel-major (S, N, oh, ow) memory: the next
+            # 1x1 conv reads it in place (see repro.backend.fast).
+            return out.reshape(layer.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
 
         return forward
 

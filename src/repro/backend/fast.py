@@ -8,11 +8,18 @@ Three things distinguish this backend from ``reference``:
   call: the compressed formats are storage and accelerator forms, not the
   host CPU's execution form.  Blocked-Ellpack runs one block-row-batched
   ``matmul`` plus a ``bincount`` scatter;
-* inference-time ``im2col`` writes into a shape-keyed workspace buffer that
-  is reused across calls, so steady-state convolution stops paying a fresh
-  column-matrix allocation per layer per batch;
-* dense layer kernels are inherited from the reference backend unchanged, so
-  training numerics stay bit-identical.
+* inference runs channel-major.  A convolution's output is an NCHW view of
+  ``(C, N, H, W)`` memory (its GEMM yields ``(C_out, N*oh*ow)``), and
+  BatchNorm, ReLU and the residual add are elementwise, so they keep that
+  order.  Inference ``im2col`` returns columns whose transpose
+  ``(C*kh*kw, N*oh*ow)`` is C-contiguous: for an unpadded stride-1 1x1
+  kernel on channel-major input that is the input itself, so a chain of
+  1x1 convolutions never copies an activation.  Other kernels copy their
+  windows into a per-thread, shape-keyed workspace buffer, and padded ones
+  first place the input in a zero-bordered per-thread workspace instead of
+  a fresh ``np.pad``;
+* training-mode layer kernels are inherited from the reference backend
+  unchanged, so training numerics stay bit-identical.
 
 All kernels produce outputs within floating-point round-off of the reference
 backend (the parity suite pins this to 1e-8); they are *not* guaranteed to
@@ -56,8 +63,9 @@ class WorkspaceCache:
 
     ``get`` returns a buffer for ``key`` if one with a matching shape/dtype
     is already cached, otherwise allocates (evicting FIFO beyond
-    ``max_buffers``).  Buffer contents are *not* preserved between calls —
-    callers must overwrite them fully.
+    ``max_buffers``).  A cached buffer comes back exactly as its last user
+    left it: callers overwrite what they read, and a ``zeroed`` buffer
+    (zero-filled on allocation) keeps zeros wherever no caller writes.
     """
 
     def __init__(self, max_buffers: int = 64) -> None:
@@ -69,7 +77,9 @@ class WorkspaceCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    def get(
+        self, key: tuple, shape: Tuple[int, ...], dtype, zeroed: bool = False
+    ) -> np.ndarray:
         with self._lock:
             buf = self._buffers.get(key)
             if buf is not None and buf.shape == shape and buf.dtype == np.dtype(dtype):
@@ -79,7 +89,7 @@ class WorkspaceCache:
             self.misses += 1
             while len(self._buffers) >= self.max_buffers:
                 self._buffers.popitem(last=False)
-            buf = np.empty(shape, dtype=dtype)
+            buf = (np.zeros if zeroed else np.empty)(shape, dtype=dtype)
             self._buffers[key] = buf
             return buf
 
@@ -209,8 +219,8 @@ class FastBackend(ReferenceBackend):
     """Vectorized backend with inference-time workspace reuse.
 
     Training-path numerics are inherited from :class:`ReferenceBackend`;
-    only inference ``im2col`` (workspace-cached) and the sparse matmul
-    family (vectorized) are overridden.
+    only inference ``im2col`` and convolutions (channel-major, workspace
+    backed) and the sparse matmul family (vectorized) are overridden.
     """
 
     name = "fast"
@@ -228,21 +238,48 @@ class FastBackend(ReferenceBackend):
         padding: int = 0,
         training: bool = True,
     ) -> np.ndarray:
+        """Receptive-field columns ``(N*oh*ow, C*kh*kw)``.
+
+        At inference the result is the transpose of a C-contiguous
+        ``(C*kh*kw, N*oh*ow)`` matrix: a free view of a channel-major input
+        for unpadded stride-1 1x1 kernels, a workspace buffer otherwise.
+        """
         if training:
             # A backward pass may hold onto the columns; never hand out a
             # shared buffer that a later forward would overwrite.
             return F.im2col(x, kernel_h, kernel_w, stride, padding)
-        windows, (n, c, out_h, out_w) = F.im2col_windows(
-            x, kernel_h, kernel_w, stride, padding
-        )
-        # The workspace is keyed by thread identity as well as shape: concurrent
+        n, c, h, w = x.shape
+        out_h = F.conv_output_size(h, kernel_h, stride, padding)
+        out_w = F.conv_output_size(w, kernel_w, stride, padding)
+        planes = x.transpose(1, 0, 2, 3)  # (C, N, H, W)
+        if (kernel_h, kernel_w, stride, padding) == (1, 1, 1, 0) and planes.flags.c_contiguous:
+            return planes.reshape(c, n * h * w).T
+        # Workspaces are keyed by thread identity as well as shape: concurrent
         # serving shards (repro.cluster) run same-shaped convolutions in
         # parallel, and a shared buffer would let one thread overwrite another's
         # columns between the copy and the GEMM that consumes them.
-        key = ("im2col", threading.get_ident(), x.shape, kernel_h, kernel_w, stride, padding)
-        buf = self._workspace.get(key, (n, out_h, out_w, c, kernel_h, kernel_w), x.dtype)
-        np.copyto(buf, windows.transpose(0, 4, 5, 1, 2, 3))
-        return buf.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
+        tid = threading.get_ident()
+        if padding > 0:
+            # Only the interior is ever written, so the border stays zero.
+            padded = self._workspace.get(
+                ("pad", tid, x.shape, padding),
+                (c, n, h + 2 * padding, w + 2 * padding),
+                x.dtype,
+                zeroed=True,
+            )
+            padded[:, :, padding : padding + h, padding : padding + w] = planes
+            planes = padded
+        s_c, s_n, s_h, s_w = planes.strides
+        windows = np.lib.stride_tricks.as_strided(
+            planes,
+            shape=(c, kernel_h, kernel_w, n, out_h, out_w),
+            strides=(s_c, s_h, s_w, s_n, s_h * stride, s_w * stride),
+            writeable=False,
+        )
+        key = ("im2col", tid, x.shape, kernel_h, kernel_w, stride, padding)
+        buf = self._workspace.get(key, windows.shape, x.dtype)
+        np.copyto(buf, windows)
+        return buf.reshape(c * kernel_h * kernel_w, n * out_h * out_w).T
 
     # -- conv kernels (workspace-backed at inference) -------------------------
     def conv2d_forward(
@@ -265,14 +302,14 @@ class FastBackend(ReferenceBackend):
         out_w = F.conv_output_size(w, kw, stride, padding)
 
         cols = self.im2col(x, kh, kw, stride, padding, training=False)
-        out = cols @ weight.reshape(c_out, -1).T
+        out = weight.reshape(c_out, -1) @ cols.T  # (C_out, N*oh*ow)
         if bias is not None:
-            out = out + bias
-        out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-        # `cols` aliases the shared workspace buffer and may be overwritten by
-        # the next same-shaped forward, so the cache keeps the input instead;
-        # conv2d_backward rebuilds fresh columns on the rare eval-mode
-        # backward (e.g. saliency estimation).
+            out += bias[:, None]
+        out = out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+        # `cols` aliases the input or a shared workspace buffer that the next
+        # same-shaped forward overwrites, so the cache keeps the input
+        # instead; conv2d_backward rebuilds fresh columns on the rare
+        # eval-mode backward (e.g. saliency estimation).
         cache = {
             "x": x,
             "x_shape": x.shape,
@@ -312,11 +349,11 @@ class FastBackend(ReferenceBackend):
         out_w = F.conv_output_size(w, kw, stride, padding)
 
         cols = self.im2col(x, kh, kw, stride, padding, training=False)
-        cols_g = cols.reshape(-1, c, kh * kw)
-        out = np.einsum("bck,ck->bc", cols_g, weight.reshape(c, kh * kw))
+        taps = cols.T.reshape(c, kh * kw, n * out_h * out_w)
+        out = np.einsum("ckm,ck->cm", taps, weight.reshape(c, kh * kw))
         if bias is not None:
-            out = out + bias
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+            out += bias[:, None]
+        out = out.reshape(c, n, out_h, out_w).transpose(1, 0, 2, 3)
         # Same workspace-aliasing rule as conv2d_forward: never cache the
         # shared buffer for a potential backward.
         cache = {

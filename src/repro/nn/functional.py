@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "im2col",
-    "im2col_windows",
     "col2im",
     "conv2d_forward",
     "conv2d_backward",
@@ -68,20 +67,24 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # im2col / col2im
 # ---------------------------------------------------------------------------
 
-def im2col_windows(
+def im2col(
     x: np.ndarray,
     kernel_h: int,
     kernel_w: int,
     stride: int = 1,
     padding: int = 0,
-) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
-    """Strided sliding-window view over an image batch.
+) -> np.ndarray:
+    """Unfold an image batch into a matrix of receptive-field columns.
 
-    Returns ``(windows, (n, c, out_h, out_w))`` where ``windows`` is a
-    read-only view of shape ``(N, C, KH, KW, out_h, out_w)``.  This is the
-    zero-copy half of :func:`im2col`; callers that manage their own output
-    buffer (the fast backend's workspace cache) copy out of the view
-    themselves instead of paying a fresh allocation per call.
+    Parameters
+    ----------
+    x:
+        Input of shape ``(N, C, H, W)``.
+
+    Returns
+    -------
+    np.ndarray
+        Matrix of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -108,29 +111,6 @@ def im2col_windows(
         ),
         writeable=False,
     )
-    return windows, (n, c, out_h, out_w)
-
-
-def im2col(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Unfold an image batch into a matrix of receptive-field columns.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    np.ndarray
-        Matrix of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
-    """
-    windows, (n, c, out_h, out_w) = im2col_windows(x, kernel_h, kernel_w, stride, padding)
     cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(
         n * out_h * out_w, c * kernel_h * kernel_w
     )
@@ -433,32 +413,39 @@ def batchnorm_forward(
     """Batch normalisation over the channel axis of ``(N, C, H, W)`` or ``(N, C)``.
 
     ``running_mean`` / ``running_var`` are updated in place when ``training``.
+
+    ``x`` is centered once and normalized in place into ``x_hat``; the
+    variance is the mean of ``centered * centered`` over the same axes,
+    which is exactly what ``np.var`` computes, so the result is
+    bit-identical to the textbook two-pass form.  Every full-size
+    temporary is elementwise over ``x``, so it keeps ``x``'s memory order
+    (channel-major conv outputs stay channel-major).
     """
     is_conv = x.ndim == 4
     axes = (0, 2, 3) if is_conv else (0,)
 
+    def per_channel(v: np.ndarray) -> np.ndarray:
+        return v[None, :, None, None] if is_conv else v
+
+    mean = x.mean(axis=axes) if training else running_mean
+    centered = x - per_channel(mean)
+    out = None
     if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        # The squares' buffer is reused for the output below.
+        out = np.multiply(centered, centered)
+        var = out.mean(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
         var = running_var
 
-    if is_conv:
-        mean_b = mean[None, :, None, None]
-        var_b = var[None, :, None, None]
-        gamma_b = gamma[None, :, None, None]
-        beta_b = beta[None, :, None, None]
-    else:
-        mean_b, var_b, gamma_b, beta_b = mean, var, gamma, beta
-
-    inv_std = 1.0 / np.sqrt(var_b + eps)
-    x_hat = (x - mean_b) * inv_std
-    out = gamma_b * x_hat + beta_b
+    inv_std = 1.0 / np.sqrt(per_channel(var) + eps)
+    x_hat = centered
+    x_hat *= inv_std
+    out = np.multiply(x_hat, per_channel(gamma), out=out)
+    out += per_channel(beta)
 
     cache = {
         "x_hat": x_hat,

@@ -67,7 +67,6 @@ class Bottleneck(Module):
         out = self.relu2(self.bn2(self.conv2(out)))
         out = self.bn3(self.conv3(out))
         out = out + identity
-        self._pre_relu = out
         return self.relu3(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

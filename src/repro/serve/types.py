@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..backend.engine import WEIGHT_FORMATS
+from ..errors import InvalidArgumentError
 
 __all__ = [
     "EngineSpec",
@@ -186,13 +187,13 @@ class PredictRequest(_JsonMessage):
         if self.inputs.ndim == 3:  # single image -> batch of one
             self.inputs = self.inputs[None]
         if self.inputs.ndim != 4:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"inputs must be (N, C, H, W) images, got shape {self.inputs.shape}"
             )
         if not np.isfinite(self.inputs).all():
             # e.g. an overflowing JSON literal such as 1e999: the logits
             # would be non-finite and could not be encoded in a response.
-            raise ValueError("inputs must be finite")
+            raise InvalidArgumentError("inputs must be finite")
 
     @property
     def batch_size(self) -> int:

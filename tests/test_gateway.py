@@ -257,6 +257,26 @@ class TestWireEdge:
             finally:
                 conn.close()
 
+    @pytest.mark.parametrize("bad", ["nan", "rank-2"])
+    def test_client_rejects_bad_inputs_as_invalid_argument(self, fleet, cluster, batch, bad):
+        """Client-side validation raises the taxonomy error, not a builtin
+        ValueError, on both transports; the connection stays usable."""
+        _, model_ids = fleet
+        inputs = batch.copy()
+        if bad == "nan":
+            inputs[0, 0, 0, 0] = np.nan
+        else:
+            inputs = inputs[0, 0]
+        gateway = Gateway(ClusterBackend(cluster))
+        with serve_http(gateway) as server:
+            for transport in (LoopbackTransport(gateway), server.transport()):
+                with GatewayClient(transport) as client:
+                    with pytest.raises(InvalidArgumentError) as info:
+                        client.predict(model_ids[0], inputs)
+                    assert info.value.code == "INVALID_ARGUMENT"
+                    assert isinstance(info.value, ValueError)
+                    assert client.predict(model_ids[0], batch).logits.shape[0] == 2
+
 
 class TestMiddleware:
     def test_rate_limited_tenant_gets_resource_exhausted(self, fleet, cluster, batch):
